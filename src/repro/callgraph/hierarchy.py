@@ -17,22 +17,6 @@ class ClassHierarchy:
         """All classes equal to or transitively extending ``name``."""
         return set(self._subclasses.get(name, ()))
 
-    def dispatch_targets(self, receiver_class, method_name):
-        """Methods that a virtual call ``recv.method_name()`` may invoke
-        when the receiver's static type is ``receiver_class``: for every
-        concrete subclass, the method found by walking up the chain.
-        """
-        targets = {}
-        for sub in self.subclasses_of(receiver_class):
-            cur = sub
-            while cur is not None:
-                decl = self.program.cls(cur)
-                if method_name in decl.methods:
-                    targets[decl.methods[method_name].sig] = decl.methods[method_name]
-                    break
-                cur = decl.superclass
-        return list(targets.values())
-
     def all_targets(self, method_name):
         """Every method named ``method_name`` anywhere in the hierarchy —
         the dispatch approximation used when the receiver type is unknown

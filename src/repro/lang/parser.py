@@ -25,6 +25,12 @@ from repro.lang import ast_nodes as A
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import EOF, IDENT, KEYWORD, PUNCT
 
+#: Deepest block nesting accepted (a method body is depth 1).  The parser
+#: and the stages after it recurse once per level, so a bound keeps a
+#: hostile input from exhausting the interpreter stack; real programs
+#: (the corpus apps nest at most 3 blocks deep) sit far below it.
+MAX_NESTING_DEPTH = 100
+
 
 class Parser:
     """Single-use parser over a token stream."""
@@ -32,6 +38,7 @@ class Parser:
     def __init__(self, source):
         self._tokens = tokenize(source)
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -137,12 +144,16 @@ class Parser:
         return A.MethodNode(name, params, is_static, body, line)
 
     def _parse_block(self):
-        line = self._peek().line
+        tok = self._peek()
+        if self._depth == MAX_NESTING_DEPTH:
+            self._error("blocks nest deeper than %d" % MAX_NESTING_DEPTH, tok)
         self._expect_punct("{")
+        self._depth += 1
         stmts = []
         while not self._accept_punct("}"):
             stmts.append(self._parse_stmt())
-        return A.BlockNode(stmts, line)
+        self._depth -= 1
+        return A.BlockNode(stmts, tok.line)
 
     def _parse_cond(self):
         tok = self._peek()

@@ -45,6 +45,9 @@ MAX_ADOPTED = 4
 #: adoption key -> (AnalysisSession, SharedMemory-or-None), LRU order.
 _SESSIONS = OrderedDict()
 
+#: Segments of dropped sessions that were still viewed when dropped.
+_UNCLOSED = []
+
 
 def make_task(
     digest,
@@ -125,13 +128,32 @@ def _session_for(task):
         adoption = "cold"
     _SESSIONS[key] = (session, shm)
     while len(_SESSIONS) > MAX_ADOPTED:
-        _, (_, old_shm) = _SESSIONS.popitem(last=False)
-        if old_shm is not None:
-            try:
-                old_shm.close()
-            except OSError:
-                pass
+        _drop_oldest()
     return session, adoption, failures
+
+
+def _drop_oldest():
+    """Drop the least recently used session; close its segment when unviewed.
+
+    The session's mask table holds zero-copy memoryviews into its
+    segment, and ``SharedMemory.close`` raises ``BufferError`` while any
+    view is alive — so the session reference goes first, and a segment
+    something still views (say, a not-yet-collected reference cycle) is
+    parked and retried on the next drop instead of failing the shard.
+    """
+    _, (session, shm) = _SESSIONS.popitem(last=False)
+    del session
+    if shm is not None:
+        _UNCLOSED.append(shm)
+    still_viewed = []
+    for segment in _UNCLOSED:
+        try:
+            segment.close()
+        except BufferError:
+            still_viewed.append(segment)
+        except OSError:
+            pass
+    _UNCLOSED[:] = still_viewed
 
 
 def run_shard(task, session_resolver=None):
@@ -189,9 +211,4 @@ def run_shard(task, session_resolver=None):
 def reset_worker_state():
     """Drop every adopted session (tests; harmless in production)."""
     while _SESSIONS:
-        _, (_, shm) = _SESSIONS.popitem()
-        if shm is not None:
-            try:
-                shm.close()
-            except OSError:
-                pass
+        _drop_oldest()

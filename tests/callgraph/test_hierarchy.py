@@ -27,21 +27,6 @@ class TestHierarchy:
         h = _hierarchy()
         assert {"Base", "Mid", "Sub", "Other", "Object"} <= h.subclasses_of("Object")
 
-    def test_dispatch_targets_include_override(self):
-        h = _hierarchy()
-        targets = {m.sig for m in h.dispatch_targets("Base", "m")}
-        assert targets == {"Base.m", "Sub.m"}
-
-    def test_dispatch_targets_scoped_to_receiver(self):
-        h = _hierarchy()
-        targets = {m.sig for m in h.dispatch_targets("Sub", "m")}
-        assert targets == {"Sub.m"}
-
-    def test_dispatch_inherited_method(self):
-        h = _hierarchy()
-        targets = {m.sig for m in h.dispatch_targets("Mid", "only_base")}
-        assert targets == {"Base.only_base"}
-
     def test_all_targets_by_name(self):
         h = _hierarchy()
         targets = {m.sig for m in h.all_targets("m")}

@@ -4,7 +4,15 @@ import pytest
 
 from repro.errors import ParseError
 from repro.lang import parse_program
-from repro.lang.parser import parse
+from repro.lang.parser import MAX_NESTING_DEPTH, parse
+
+
+def nested_ifs(levels):
+    """A valid program whose method body nests ``levels`` if-blocks."""
+    body = "x = new A @a;"
+    for _ in range(levels):
+        body = "if (*) { %s }" % body
+    return "entry A.m;\nclass A { static method m() { %s } }" % body
 
 
 class TestCornerCases:
@@ -47,6 +55,23 @@ class TestCornerCases:
             if type(s).__name__ == "IfStmt"
         )
         assert depth == 20
+
+    def test_nesting_at_the_bound_parses(self):
+        prog = parse_program(nested_ifs(MAX_NESTING_DEPTH - 1))
+        assert prog.site("a") is not None
+
+    def test_nesting_past_the_bound_is_a_parse_error(self):
+        source = nested_ifs(1000)
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(source)
+        # Reported at the first block past the bound; the class body's
+        # brace is not a block, the method body's opens depth 1.
+        line = source.splitlines()[1]
+        column = 0
+        for _ in range(MAX_NESTING_DEPTH + 2):
+            column = line.index("{", column) + 1
+        assert (excinfo.value.line, excinfo.value.column) == (2, column)
+        assert "nest deeper than %d" % MAX_NESTING_DEPTH in str(excinfo.value)
 
     def test_many_parameters(self):
         params = ", ".join("p%d" % i for i in range(12))

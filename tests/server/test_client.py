@@ -8,6 +8,8 @@ import pytest
 from repro.client import AnalyzeClient, ClientError
 from repro.server import create_server
 
+from tests.lang.test_parser_corner_cases import nested_ifs
+
 LEAK = """
 entry Main.main;
 class Main {
@@ -116,6 +118,16 @@ class TestErrors:
                 client.analyze("not a program")
         assert excinfo.value.status == 422
         assert excinfo.value.code == "analysis_error"
+
+    def test_overdeep_nesting_is_an_analysis_error(self):
+        """A valid but hostile program nesting 1000 blocks deep gets
+        422, not a 500 from a blown interpreter stack."""
+        with _client() as (client, _server):
+            with pytest.raises(ClientError) as excinfo:
+                client.analyze(nested_ifs(1000))
+        assert excinfo.value.status == 422
+        assert excinfo.value.code == "analysis_error"
+        assert "nest deeper than" in str(excinfo.value)
 
     def test_legacy_error_parses_kind(self):
         with _client(api_version=0) as (client, _server):
