@@ -28,6 +28,7 @@ from repro.core.detector import DetectorConfig
 from repro.core.regions import RegionSpec
 from repro.lang import parse_program
 from repro.lang.lexer import tokenize
+from repro.lang.tokens import EOF, IDENT, KEYWORD, VALUE
 
 #: Identifiers never renamed: ``this`` is the receiver keyword-in-all-
 #: but-kind, ``Object`` is the validator's built-in root class;
@@ -61,9 +62,9 @@ def _suffix(tile):
 
 def _entry_sig(tokens):
     """``(class, method)`` of the first ``entry`` statement."""
-    for i, tok in enumerate(tokens):
-        if tok.kind == "KEYWORD" and tok.value == "entry":
-            return tokens[i + 1].value, tokens[i + 3].value
+    for i, (kind, value, _, _) in enumerate(tokens):
+        if kind == KEYWORD and value == "entry":
+            return tokens[i + 1][VALUE], tokens[i + 3][VALUE]
     raise ValueError("base app source has no entry statement")
 
 
@@ -73,18 +74,18 @@ def _tile_tokens(tokens, suffix):
     i = 0
     n = len(tokens)
     while i < n:
-        tok = tokens[i]
-        if tok.kind == "EOF":
+        kind, value, _, _ = tokens[i]
+        if kind == EOF:
             break
-        if tok.kind == "KEYWORD" and tok.value == "entry":
-            while i < n and tokens[i].value != ";":
+        if kind == KEYWORD and value == "entry":
+            while i < n and tokens[i][VALUE] != ";":
                 i += 1
             i += 1
             continue
-        if tok.kind == "IDENT" and tok.value not in _KEEP:
-            out.append(tok.value + suffix)
+        if kind == IDENT and value not in _KEEP:
+            out.append(value + suffix)
         else:
-            out.append(tok.value)
+            out.append(value)
         i += 1
     return out
 

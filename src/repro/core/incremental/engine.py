@@ -5,6 +5,11 @@ point.  Given the *new* program and a snapshot of a prior scan
 (:mod:`~repro.core.incremental.snapshot`), it picks the cheapest tier
 that is still sound:
 
+**Identical program** — the caller passes the program's digest and it
+equals the snapshot's: nothing is dirty, so the engine takes the fast
+path without digesting methods, comparing structure, decoding the
+stored flow graph or closing over it.
+
 **Fast path** — the common one-method-edit case.  When the class
 structure digest is unchanged and every dirty method kept its
 *dispatch signature* (:func:`~repro.core.incremental.digests.
@@ -123,6 +128,7 @@ def changed_scan(
     cache=None,
     deadline=None,
     shared_snapshot=None,
+    program_dig=None,
 ):
     """Scan ``program``, serving unchanged regions from ``snapshot``.
 
@@ -140,6 +146,9 @@ def changed_scan(
     it hydrates from the snapshot — call graph and solved points-to
     included — instead of rebuilding the substrate.  A snapshot that
     does not match the program is silently ignored.
+
+    ``program_dig`` is ``program``'s digest when the caller already has
+    it; it lets an unchanged program skip change detection.
     """
     from repro.core.config import DetectorConfig
     from repro.core.pipeline.session import AnalysisSession
@@ -160,7 +169,7 @@ def changed_scan(
 
                 try:
                     shared = hydrate_shared(
-                        program, config, shared_snapshot
+                        program, config, shared_snapshot, program_dig
                     )
                 except (CacheError, LookupError):
                     shared = None  # different program/config: rebuild
@@ -181,7 +190,15 @@ def changed_scan(
         return session
 
     reason = _fallback_reason(snapshot, config)
-    if reason is None and _structure_changed(snapshot, program):
+    identical = (
+        reason is None
+        and session is None
+        and program_dig is not None
+        and program_dig == snapshot.get("program_digest")
+    )
+    if reason is None and not identical and _structure_changed(
+        snapshot, program
+    ):
         reason = "class structure changed (classes/fields/methods/entry)"
     if reason is not None:
         return _full(
@@ -189,32 +206,40 @@ def changed_scan(
             top, deadline,
         )
 
-    new_digests = method_digests(program)
-    dirty, deleted = digest_dirty(snapshot["method_digests"], new_digests)
-    outcome.dirty_methods = set(dirty)
-
-    stored_dispatch = snapshot["dispatch_sigs"]
-    fast = not deleted and session is None and all(
-        dispatch_signature(program.method(sig)) == stored_dispatch.get(sig)
-        for sig in dirty
-    )
-
-    old_graph = FlowGraph.from_plain(snapshot["flowgraph"])
-    if fast:
+    if identical:
+        # Same program text: no dirty methods, no flows to close over.
         outcome.fast_path = True
-        graphs = [old_graph, _build_overlay(program, snapshot, dirty)]
+        new_digests = snapshot["method_digests"]
+        dirty, deleted = set(), set()
+        graphs = ()
+        tainted = set()
     else:
-        new_edges = callsite_edges(program, get_session().callgraph)
-        old_edges = snapshot["call_edges"]
-        dirty |= {
-            sig
-            for sig, edges in new_edges.items()
-            if old_edges.get(sig) != edges
-        }
+        new_digests = method_digests(program)
+        dirty, deleted = digest_dirty(snapshot["method_digests"], new_digests)
         outcome.dirty_methods = set(dirty)
-        graphs = [old_graph, build_flowgraph(program, session.callgraph)]
 
-    tainted = _tainted_over(graphs, dirty, config)
+        stored_dispatch = snapshot["dispatch_sigs"]
+        fast = not deleted and session is None and all(
+            dispatch_signature(program.method(sig)) == stored_dispatch.get(sig)
+            for sig in dirty
+        )
+
+        old_graph = FlowGraph.from_plain(snapshot["flowgraph"])
+        if fast:
+            outcome.fast_path = True
+            graphs = [old_graph, _build_overlay(program, snapshot, dirty)]
+        else:
+            new_edges = callsite_edges(program, get_session().callgraph)
+            old_edges = snapshot["call_edges"]
+            dirty |= {
+                sig
+                for sig, edges in new_edges.items()
+                if old_edges.get(sig) != edges
+            }
+            outcome.dirty_methods = set(dirty)
+            graphs = [old_graph, build_flowgraph(program, session.callgraph)]
+
+        tainted = _tainted_over(graphs, dirty, config)
 
     stored = {entry["spec"]: entry for entry in snapshot["regions"]}
     if specs is not None:

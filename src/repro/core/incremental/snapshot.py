@@ -46,13 +46,15 @@ from repro.core.regions import region_text
 from repro.errors import CacheError
 
 
-def snapshot_scan(program, config, result, session=None):
+def snapshot_scan(program, config, result, session=None, program_dig=None):
     """Encode a finished scan as a snapshot payload dict.
 
     ``session`` supplies region footprints (memoized pipeline
     artifacts); scans run on a process-pool backend leave the parent
     session's region cache cold, so footprint capture re-runs those
     pipelines — an accepted one-time cost of writing a snapshot.
+    ``program_dig`` is the program's digest when the caller already has
+    it (printing the program to digest it is not free).
     """
     from repro.core.pipeline.session import AnalysisSession
 
@@ -73,7 +75,7 @@ def snapshot_scan(program, config, result, session=None):
         "schema": CACHE_SCHEMA_VERSION,
         "substrate_key": tuple(session.config.substrate_key()),
         "config": sorted(session.config.describe().items()),
-        "program_digest": program_digest(program),
+        "program_digest": program_dig or program_digest(program),
         "method_digests": method_digests(program),
         "structure_digest": structure_digest(program),
         "dispatch_sigs": dispatch_signatures(program),

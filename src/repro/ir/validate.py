@@ -5,15 +5,26 @@ raises :class:`repro.errors.IRError` on the first issue.  Benchmarks and the
 frontend run validation so that analysis failures are caught as malformed
 input rather than deep inside a solver.
 
-The def/use check is a definite-assignment analysis over the per-method
-CFG (:mod:`repro.cfg.graph`): a variable use is clean only when every
-path from the entry assigns it first, so an assignment on one branch
-arm or inside a possibly zero-trip loop body does not excuse a use
-after the join.
+The def/use check is a definite-assignment analysis: a variable use is
+clean only when every path from the entry assigns it first, so an
+assignment on one branch arm or inside a possibly zero-trip loop body
+does not excuse a use after the join.
+
+``validate_program`` walks each method body once.  That walk gathers
+the allocation, call, arity and loop-label issues in statement order
+and runs the definite-assignment analysis on the structured body (an
+``if`` joins by intersection, a loop leaves the set it entered with, a
+``return`` makes the rest of its block unreachable), which yields the
+same assigned sets as the must-analysis over the per-method CFG
+(:mod:`repro.cfg.graph`).  Only a method the walk finds a def/use
+issue in is re-checked over its CFG, which words and orders the
+issues.  Virtual-call arity targets come from a method-name index
+built once per program.
 """
 
 from repro.errors import IRError, ResolutionError
 from repro.ir.stmts import (
+    Block,
     Cond,
     CopyStmt,
     IfStmt,
@@ -26,7 +37,6 @@ from repro.ir.stmts import (
     StoreNullStmt,
     StoreStmt,
     THIS_VAR,
-    walk,
 )
 
 
@@ -153,111 +163,207 @@ def _definite_assignment_issues(method, initial, all_defs):
     return issues
 
 
-def _method_issues(program, method):
-    issues = []
-    initial = set(method.params)
-    if not method.is_static:
-        initial.add(THIS_VAR)
+class _MethodWalk:
+    """One pre-order walk over a method body (see the module docstring).
 
-    all_defs = set(initial)
-    for stmt in method.statements():
-        target = _stmt_def(stmt)
-        if target:
-            all_defs.add(target)
+    ``issues`` are the allocation, static-call and unsealed-statement
+    issues, ``arity`` and ``labels`` the method's share of the
+    program-wide arity and loop-label lists.  ``all_defs`` is every
+    variable the method assigns (parameters and ``this`` included);
+    ``flagged`` is set when some use is not definitely assigned.
+    """
 
-    issues.extend(_definite_assignment_issues(method, initial, all_defs))
+    def __init__(self, program, method, targets_by_name, seen_labels):
+        self.program = program
+        self.sig = method.sig
+        self.targets_by_name = targets_by_name
+        self.seen_labels = seen_labels
+        self.issues = []
+        self.arity = []
+        self.labels = []
+        self.unsealed = None
+        self.flagged = False
+        self.unreachable_uses = []
+        self.initial = set(method.params)
+        if not method.is_static:
+            self.initial.add(THIS_VAR)
+        self.all_defs = set(self.initial)
+        self._block(method.body, set(self.initial))
+        if not self.flagged:
+            all_defs = self.all_defs
+            self.flagged = any(
+                var not in all_defs for var in self.unreachable_uses
+            )
 
-    for stmt in method.statements():
-        if isinstance(stmt, NewStmt):
-            if stmt.type.class_name not in program.classes:
-                issues.append(
-                    "%s: allocation of unknown class %s"
-                    % (method.sig, stmt.type.class_name)
+    def _use(self, var, live):
+        if live is None:
+            # Unreachable code only needs an assignment somewhere.
+            self.unreachable_uses.append(var)
+        elif var not in live:
+            self.flagged = True
+
+    def _def(self, var, live):
+        if var:
+            self.all_defs.add(var)
+            if live is not None:
+                live.add(var)
+
+    def _block(self, block, live):
+        """Walk ``block`` entered with assigned set ``live`` (``None``
+        when unreachable); returns the set at its end."""
+        if self.unsealed is None and block.uid is None:
+            self.unsealed = block
+        use = self._use
+        define = self._def
+        for stmt in block.stmts:
+            if self.unsealed is None and stmt.uid is None:
+                self.unsealed = stmt
+            if isinstance(stmt, CopyStmt):
+                use(stmt.source, live)
+                define(stmt.target, live)
+            elif isinstance(stmt, NewStmt):
+                define(stmt.target, live)
+                if stmt.type.class_name not in self.program.classes:
+                    self.issues.append(
+                        "%s: allocation of unknown class %s"
+                        % (self.sig, stmt.type.class_name)
+                    )
+            elif isinstance(stmt, InvokeStmt):
+                for arg in stmt.args:
+                    use(arg, live)
+                if not stmt.is_static:
+                    use(stmt.base, live)
+                define(stmt.target, live)
+                self._invoke(stmt)
+            elif isinstance(stmt, LoadStmt):
+                use(stmt.base, live)
+                define(stmt.target, live)
+            elif isinstance(stmt, StoreStmt):
+                use(stmt.base, live)
+                use(stmt.source, live)
+            elif isinstance(stmt, StoreNullStmt):
+                use(stmt.base, live)
+            elif isinstance(stmt, NullStmt):
+                define(stmt.target, live)
+            elif isinstance(stmt, ReturnStmt):
+                if stmt.value:
+                    use(stmt.value, live)
+                live = None
+            elif isinstance(stmt, IfStmt):
+                if stmt.cond.kind != Cond.NONDET:
+                    use(stmt.cond.var, live)
+                then_live = self._block(
+                    stmt.then_block, None if live is None else set(live)
                 )
-        elif isinstance(stmt, InvokeStmt) and stmt.is_static:
+                else_live = self._block(stmt.else_block, live)
+                if then_live is None:
+                    live = else_live
+                elif else_live is not None:
+                    live = then_live & else_live
+                else:
+                    live = then_live
+            elif isinstance(stmt, LoopStmt):
+                key = (self.sig, stmt.label)
+                if key in self.seen_labels:
+                    self.labels.append(
+                        "%s: duplicate loop label %r" % (self.sig, stmt.label)
+                    )
+                self.seen_labels.add(key)
+                if stmt.cond.kind != Cond.NONDET:
+                    use(stmt.cond.var, live)
+                # The body may run zero times: the loop leaves ``live``
+                # as it found it.
+                self._block(stmt.body, None if live is None else set(live))
+            elif isinstance(stmt, Block):
+                live = self._block(stmt, live)
+        return live
+
+    def _invoke(self, stmt):
+        """Static-call and arity issues of one invoke."""
+        if stmt.is_static:
             try:
-                callee = program.method(
+                callee = self.program.method(
                     "%s.%s" % (stmt.static_class, stmt.method_name)
                 )
-                if not callee.is_static:
-                    issues.append(
-                        "%s: static call to instance method %s"
-                        % (method.sig, callee.sig)
-                    )
             except ResolutionError:
-                issues.append(
+                self.issues.append(
                     "%s: static call to unknown method %s.%s"
-                    % (method.sig, stmt.static_class, stmt.method_name)
+                    % (self.sig, stmt.static_class, stmt.method_name)
                 )
-    return issues
+                return
+            if not callee.is_static:
+                self.issues.append(
+                    "%s: static call to instance method %s"
+                    % (self.sig, callee.sig)
+                )
+            targets = (callee,)
+        else:
+            targets = self.targets_by_name.get(stmt.method_name, ())
+            if not targets:
+                self.arity.append(
+                    "%s: virtual call to %s with no target anywhere"
+                    % (self.sig, stmt.method_name)
+                )
+        for callee in targets:
+            if len(callee.params) != len(stmt.args):
+                self.arity.append(
+                    "%s: call to %s passes %d args, expected %d"
+                    % (self.sig, callee.sig, len(stmt.args), len(callee.params))
+                )
 
 
-def _arity_issues(program):
-    """Check call arity against every possible dispatch target (CHA-style)."""
+def _inheritance_issues(program):
+    """Unknown superclasses, then every superclass cycle (once each,
+    named from the first of its classes in declaration order)."""
+    classes = program.classes
     issues = []
-    for method in program.all_methods():
-        for stmt in method.statements():
-            if not isinstance(stmt, InvokeStmt):
-                continue
-            if stmt.is_static:
-                try:
-                    callee = program.method(
-                        "%s.%s" % (stmt.static_class, stmt.method_name)
-                    )
-                except ResolutionError:
-                    continue  # reported by _method_issues
-                targets = [callee]
-            else:
-                targets = [
-                    decl.methods[stmt.method_name]
-                    for decl in program.classes.values()
-                    if stmt.method_name in decl.methods
-                ]
-                if not targets:
-                    issues.append(
-                        "%s: virtual call to %s with no target anywhere"
-                        % (method.sig, stmt.method_name)
-                    )
-            for callee in targets:
-                if len(callee.params) != len(stmt.args):
-                    issues.append(
-                        "%s: call to %s passes %d args, expected %d"
-                        % (method.sig, callee.sig, len(stmt.args), len(callee.params))
-                    )
-    return issues
-
-
-def _loop_label_issues(program):
-    issues = []
-    seen = {}
-    for method in program.all_methods():
-        for stmt in method.statements():
-            if isinstance(stmt, LoopStmt):
-                key = (method.sig, stmt.label)
-                if key in seen:
-                    issues.append(
-                        "%s: duplicate loop label %r" % (method.sig, stmt.label)
-                    )
-                seen[key] = stmt
+    for decl in classes.values():
+        if decl.superclass is not None and decl.superclass not in classes:
+            issues.append(
+                "class %s extends unknown class %s" % (decl.name, decl.superclass)
+            )
+    done = set()
+    for name in classes:
+        path = []
+        on_path = {}
+        while name in classes and name not in done and name not in on_path:
+            on_path[name] = len(path)
+            path.append(name)
+            name = classes[name].superclass
+        if name in on_path:
+            cycle = path[on_path[name]:] + [name]
+            issues.append("cyclic inheritance: %s" % " extends ".join(cycle))
+        done.update(path)
     return issues
 
 
 def validate_program(program):
     """Return a list of issues found in ``program`` (empty when valid)."""
-    issues = []
+    issues = _inheritance_issues(program)
+    targets_by_name = {}
     for decl in program.classes.values():
-        if decl.superclass is not None and decl.superclass not in program.classes:
-            issues.append(
-                "class %s extends unknown class %s" % (decl.name, decl.superclass)
-            )
+        for name, method in decl.methods.items():
+            targets_by_name.setdefault(name, []).append(method)
+    seen_labels = set()
+    arity = []
+    labels = []
     for method in program.all_methods():
-        issues.extend(_method_issues(program, method))
-        for stmt in walk(method.body):
-            if stmt.uid is None:
-                issues.append("%s: unsealed statement %r" % (method.sig, stmt))
-                break
-    issues.extend(_arity_issues(program))
-    issues.extend(_loop_label_issues(program))
+        walked = _MethodWalk(program, method, targets_by_name, seen_labels)
+        if walked.flagged:
+            issues.extend(
+                _definite_assignment_issues(
+                    method, walked.initial, walked.all_defs
+                )
+            )
+        issues.extend(walked.issues)
+        if walked.unsealed is not None:
+            issues.append(
+                "%s: unsealed statement %r" % (method.sig, walked.unsealed)
+            )
+        arity.extend(walked.arity)
+        labels.extend(walked.labels)
+    issues.extend(arity)
+    issues.extend(labels)
     if program.entry:
         try:
             program.entry_method()

@@ -3,64 +3,54 @@
 Identifiers may contain ``/``, ``:``, ``#`` and ``-`` after the first
 character so that machine-generated site/callsite labels (which embed method
 signatures, e.g. ``Main.main/Order``) survive a print/parse round trip.
+
+The source is cut into lines and one regular expression splits each
+line into (leading blanks, token) pairs, so the Python loop runs once
+per token and builds one tuple per token (see :mod:`repro.lang.tokens`).
 """
 
-from repro.errors import ParseError
-from repro.lang.tokens import EOF, IDENT, KEYWORD, KEYWORDS, PUNCT, PUNCTUATION, Token
+import re
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
+from repro.errors import ParseError
+from repro.lang.tokens import EOF, IDENT, KEYWORD, KEYWORDS, PUNCT, PUNCTUATION
+
+#: One match per token: its leading blanks, then exactly one of an
+#: identifier, a punctuation mark, the start of a comment or any other
+#: non-blank (unexpected) character.  Blanks at the end of a line match
+#: nothing.
+_TOKEN_RE = re.compile(
+    r"([ \t\r]*)(?:([A-Za-z_$][A-Za-z0-9_$/:#-]*)|(%s)|(//)|([^ \t\r]))"
+    % "|".join(re.escape(punct) for punct in PUNCTUATION)
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789/:#-")
 
 
 def tokenize(source):
-    """Convert source text into a list of tokens ending with EOF.
+    """Convert source text into a list of token tuples ending with EOF.
 
     Comments run from ``//`` to end of line.
     """
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            start_col = col
-            while i < n and source[i] in _IDENT_CONT:
-                i += 1
-                col += 1
-            word = source[start:i]
-            # A bare identifier followed by '.' then another identifier is a
-            # qualified name (x.f); the lexer leaves the '.' as punctuation.
-            kind = KEYWORD if word in KEYWORDS else IDENT
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        matched = None
-        for punct in PUNCTUATION:
-            if source.startswith(punct, i):
-                matched = punct
+    append = tokens.append
+    findall = _TOKEN_RE.findall
+    line = 0
+    for text in source.split("\n"):
+        line += 1
+        col = 1
+        for blanks, word, punct, comment, other in findall(text):
+            if blanks:
+                col += len(blanks)
+            if word:
+                append((KEYWORD if word in KEYWORDS else IDENT, word, line, col))
+                col += len(word)
+            elif punct:
+                append((PUNCT, punct, line, col))
+                col += len(punct)
+            elif comment:
                 break
-        if matched is not None:
-            tokens.append(Token(PUNCT, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token(EOF, "", line, col))
+            else:
+                raise ParseError("unexpected character %r" % other, line, col)
+        else:
+            # Trailing blanks move the column; a comment does not.
+            col = len(text) + 1
+    append((EOF, "", line, col))
     return tokens

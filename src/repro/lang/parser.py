@@ -23,7 +23,7 @@ Semicolons terminate simple statements; blocks need no trailing semicolon.
 from repro.errors import ParseError
 from repro.lang import ast_nodes as A
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import EOF, IDENT, KEYWORD, PUNCT
+from repro.lang.tokens import EOF, IDENT
 
 #: Deepest block nesting accepted (a method body is depth 1).  The parser
 #: and the stages after it recurse once per level, so a bound keeps a
@@ -31,235 +31,247 @@ from repro.lang.tokens import EOF, IDENT, KEYWORD, PUNCT
 #: (the corpus apps nest at most 3 blocks deep) sit far below it.
 MAX_NESTING_DEPTH = 100
 
+_COND_OPENERS = ("nonnull", "null")
+
 
 class Parser:
-    """Single-use parser over a token stream."""
+    """Single-use parser over a token stream.
+
+    The token tuples are split into parallel ``kinds``/``values``/
+    ``lines`` sequences indexed by ``self._pos``, which never moves past
+    the final EOF token.  Keywords and punctuation are matched by value
+    alone (see :mod:`repro.lang.tokens`).
+    """
 
     def __init__(self, source):
         self._tokens = tokenize(source)
+        self._kinds, self._values, self._lines, _ = zip(*self._tokens)
         self._pos = 0
         self._depth = 0
 
     # -- token helpers -----------------------------------------------------
 
-    def _peek(self, offset=0):
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _error(self, message, pos=None):
+        _, _, line, column = self._tokens[self._pos if pos is None else pos]
+        raise ParseError(message, line, column)
 
-    def _advance(self):
-        tok = self._tokens[self._pos]
-        if tok.kind != EOF:
-            self._pos += 1
-        return tok
-
-    def _error(self, message, tok=None):
-        tok = tok or self._peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def _expect_punct(self, text):
-        tok = self._advance()
-        if not tok.is_punct(text):
-            self._error("expected %r, found %r" % (text, tok.value), tok)
-        return tok
-
-    def _expect_kw(self, word):
-        tok = self._advance()
-        if not tok.is_kw(word):
-            self._error("expected %r, found %r" % (word, tok.value), tok)
-        return tok
+    def _expect(self, text):
+        """Consume the keyword or punctuation mark ``text``."""
+        pos = self._pos
+        if self._values[pos] != text:
+            self._error("expected %r, found %r" % (text, self._values[pos]), pos)
+        self._pos = pos + 1
 
     def _expect_ident(self, what="identifier"):
-        tok = self._advance()
-        if tok.kind != IDENT:
-            self._error("expected %s, found %r" % (what, tok.value), tok)
-        return tok.value
+        pos = self._pos
+        if self._kinds[pos] != IDENT:
+            self._error("expected %s, found %r" % (what, self._values[pos]), pos)
+        self._pos = pos + 1
+        return self._values[pos]
 
-    def _accept_punct(self, text):
-        if self._peek().is_punct(text):
-            self._advance()
+    def _accept(self, text):
+        """Consume the keyword or punctuation mark ``text`` if it is next."""
+        if self._values[self._pos] == text:
+            self._pos += 1
             return True
         return False
 
-    def _accept_kw(self, word):
-        if self._peek().is_kw(word):
-            self._advance()
-            return True
-        return False
+    def _names(self, what):
+        """``[name {"," name}] ")"`` after an opening parenthesis."""
+        names = []
+        if not self._accept(")"):
+            names.append(self._expect_ident(what))
+            while self._accept(","):
+                names.append(self._expect_ident(what))
+            self._expect(")")
+        return names
 
     # -- grammar -----------------------------------------------------------
 
     def parse_program(self):
         classes = []
         entry = None
-        while self._peek().kind != EOF:
-            tok = self._peek()
-            if tok.is_kw("entry"):
-                self._advance()
+        values = self._values
+        while self._kinds[self._pos] != EOF:
+            value = values[self._pos]
+            if value == "entry":
+                self._pos += 1
                 first = self._expect_ident("entry class")
-                self._expect_punct(".")
+                self._expect(".")
                 meth = self._expect_ident("entry method")
                 entry = "%s.%s" % (first, meth)
-                self._expect_punct(";")
-            elif tok.is_kw("library") or tok.is_kw("class"):
+                self._expect(";")
+            elif value == "class" or value == "library":
                 classes.append(self._parse_class())
             else:
                 self._error("expected class or entry declaration")
         return A.ProgramNode(classes, entry)
 
     def _parse_class(self):
-        line = self._peek().line
-        is_library = self._accept_kw("library")
-        self._expect_kw("class")
+        line = self._lines[self._pos]
+        is_library = self._accept("library")
+        self._expect("class")
         name = self._expect_ident("class name")
         superclass = None
-        if self._accept_kw("extends"):
+        if self._accept("extends"):
             superclass = self._expect_ident("superclass name")
-        self._expect_punct("{")
+        self._expect("{")
         fields = []
         methods = []
-        while not self._accept_punct("}"):
-            tok = self._peek()
-            if tok.is_kw("field"):
-                self._advance()
+        values = self._values
+        while not self._accept("}"):
+            value = values[self._pos]
+            if value == "field":
+                self._pos += 1
                 fields.append(self._expect_ident("field name"))
-                self._expect_punct(";")
-            elif tok.is_kw("method") or tok.is_kw("static"):
+                self._expect(";")
+            elif value == "method" or value == "static":
                 methods.append(self._parse_method())
             else:
                 self._error("expected field or method declaration")
         return A.ClassNode(name, superclass, is_library, fields, methods, line)
 
     def _parse_method(self):
-        line = self._peek().line
-        is_static = self._accept_kw("static")
-        self._expect_kw("method")
+        line = self._lines[self._pos]
+        is_static = self._accept("static")
+        self._expect("method")
         name = self._expect_ident("method name")
-        self._expect_punct("(")
-        params = []
-        if not self._accept_punct(")"):
-            params.append(self._expect_ident("parameter"))
-            while self._accept_punct(","):
-                params.append(self._expect_ident("parameter"))
-            self._expect_punct(")")
+        self._expect("(")
+        params = self._names("parameter")
         body = self._parse_block()
         return A.MethodNode(name, params, is_static, body, line)
 
     def _parse_block(self):
-        tok = self._peek()
+        pos = self._pos
         if self._depth == MAX_NESTING_DEPTH:
-            self._error("blocks nest deeper than %d" % MAX_NESTING_DEPTH, tok)
-        self._expect_punct("{")
+            self._error("blocks nest deeper than %d" % MAX_NESTING_DEPTH, pos)
+        self._expect("{")
         self._depth += 1
         stmts = []
-        while not self._accept_punct("}"):
-            stmts.append(self._parse_stmt())
+        append = stmts.append
+        values = self._values
+        parse_stmt = self._parse_stmt
+        while values[self._pos] != "}":
+            append(parse_stmt())
+        self._pos += 1
         self._depth -= 1
-        return A.BlockNode(stmts, tok.line)
+        return A.BlockNode(stmts, self._lines[pos])
 
     def _parse_cond(self):
-        tok = self._peek()
-        if self._accept_punct("*"):
-            return A.CondNode("*", None, tok.line)
-        if tok.is_kw("nonnull") or tok.is_kw("null"):
-            self._advance()
+        pos = self._pos
+        value = self._values[pos]
+        line = self._lines[pos]
+        if value == "*":
+            self._pos = pos + 1
+            return A.CondNode("*", None, line)
+        if value in _COND_OPENERS:
+            self._pos = pos + 1
             var = self._expect_ident("condition variable")
-            return A.CondNode(tok.value, var, tok.line)
+            return A.CondNode(value, var, line)
         self._error("expected condition (* | nonnull x | null x)")
 
     def _parse_stmt(self):
-        tok = self._peek()
-        if tok.is_kw("if"):
+        values = self._values
+        kinds = self._kinds
+        pos = self._pos
+        value = values[pos]
+        if value == "if":
             return self._parse_if()
-        if tok.is_kw("loop") or tok.is_kw("while"):
+        if value == "loop" or value == "while":
             return self._parse_loop()
-        stmt = self._parse_simple()
-        self._expect_punct(";")
-        return stmt
+        line = self._lines[pos]
+        if value == "return":
+            pos += 1
+            returned = None
+            if kinds[pos] == IDENT:
+                returned = values[pos]
+                pos += 1
+            self._pos = pos
+            node = A.ReturnNode(returned, line)
+        elif value == "call":
+            node = self._parse_call(None, line)
+        elif kinds[pos] != IDENT:
+            self._error("expected statement", pos)
+        elif values[pos + 1] == ".":
+            # store:  first.field = source
+            self._pos = pos + 2
+            field = self._expect_ident("field name")
+            self._expect("=")
+            if self._accept("null"):
+                node = A.StoreNullNode(value, field, line)
+            else:
+                source = self._expect_ident("source variable")
+                node = A.StoreNode(value, field, source, line)
+        else:
+            self._pos = pos + 1
+            self._expect("=")
+            pos = self._pos
+            rhs = values[pos]
+            if rhs == "new":
+                self._pos = pos + 1
+                class_name = self._expect_ident("class name")
+                dims = 0
+                while self._accept("[]"):
+                    dims += 1
+                site = self._parse_optional_site()
+                node = A.NewNode(value, class_name, dims, site, line)
+            elif rhs == "null":
+                self._pos = pos + 1
+                node = A.NullAssignNode(value, line)
+            elif rhs == "call":
+                node = self._parse_call(value, line)
+            else:
+                source = self._expect_ident("right-hand side")
+                if self._accept("."):
+                    field = self._expect_ident("field name")
+                    node = A.LoadNode(value, source, field, line)
+                else:
+                    node = A.CopyNode(value, source, line)
+        self._expect(";")
+        return node
 
     def _parse_if(self):
-        line = self._expect_kw("if").line
-        self._expect_punct("(")
+        line = self._lines[self._pos]
+        self._pos += 1  # 'if'
+        self._expect("(")
         cond = self._parse_cond()
-        self._expect_punct(")")
+        self._expect(")")
         then_block = self._parse_block()
-        else_block = A.BlockNode([], line)
-        if self._accept_kw("else"):
+        if self._accept("else"):
             else_block = self._parse_block()
+        else:
+            else_block = A.BlockNode([], line)
         return A.IfNode(cond, then_block, else_block, line)
 
     def _parse_loop(self):
-        tok = self._advance()  # 'loop' or 'while'
+        pos = self._pos
+        line = self._lines[pos]
+        self._pos = pos + 1  # 'loop' or 'while'
         label = None
-        if tok.is_kw("loop"):
+        if self._values[pos] == "loop":
             label = self._expect_ident("loop label")
-        cond = A.CondNode("*", None, tok.line)
-        if self._accept_punct("("):
+        if self._accept("("):
             cond = self._parse_cond()
-            self._expect_punct(")")
+            self._expect(")")
+        else:
+            cond = A.CondNode("*", None, line)
         body = self._parse_block()
-        return A.LoopNode(label, cond, body, tok.line)
+        return A.LoopNode(label, cond, body, line)
 
     def _parse_optional_site(self):
-        if self._accept_punct("@"):
+        if self._accept("@"):
             return self._expect_ident("site label")
         return None
 
     def _parse_call(self, target, line):
-        self._expect_kw("call")
+        self._pos += 1  # 'call'
         receiver = self._expect_ident("call receiver")
-        self._expect_punct(".")
+        self._expect(".")
         method_name = self._expect_ident("method name")
-        self._expect_punct("(")
-        args = []
-        if not self._accept_punct(")"):
-            args.append(self._expect_ident("argument"))
-            while self._accept_punct(","):
-                args.append(self._expect_ident("argument"))
-            self._expect_punct(")")
+        self._expect("(")
+        args = self._names("argument")
         site = self._parse_optional_site()
         return A.CallNode(target, receiver, method_name, args, site, line)
-
-    def _parse_simple(self):
-        tok = self._peek()
-        line = tok.line
-        if tok.is_kw("return"):
-            self._advance()
-            value = None
-            if self._peek().kind == IDENT:
-                value = self._advance().value
-            return A.ReturnNode(value, line)
-        if tok.is_kw("call"):
-            return self._parse_call(None, line)
-        if tok.kind != IDENT:
-            self._error("expected statement")
-        first = self._advance().value
-        if self._accept_punct("."):
-            # store:  first.field = source
-            field = self._expect_ident("field name")
-            self._expect_punct("=")
-            if self._accept_kw("null"):
-                return A.StoreNullNode(first, field, line)
-            source = self._expect_ident("source variable")
-            return A.StoreNode(first, field, source, line)
-        self._expect_punct("=")
-        rhs = self._peek()
-        if rhs.is_kw("new"):
-            self._advance()
-            class_name = self._expect_ident("class name")
-            dims = 0
-            while self._accept_punct("[]"):
-                dims += 1
-            site = self._parse_optional_site()
-            return A.NewNode(first, class_name, dims, site, line)
-        if rhs.is_kw("null"):
-            self._advance()
-            return A.NullAssignNode(first, line)
-        if rhs.is_kw("call"):
-            return self._parse_call(first, line)
-        source = self._expect_ident("right-hand side")
-        if self._accept_punct("."):
-            field = self._expect_ident("field name")
-            return A.LoadNode(first, source, field, line)
-        return A.CopyNode(first, source, line)
 
 
 def parse(source):

@@ -1,10 +1,21 @@
-"""Token kinds for the while-language frontend."""
+"""Token kinds for the while-language frontend.
+
+A token is a plain tuple ``(kind, value, line, column)`` with a 1-based
+source position; :data:`KIND`, :data:`VALUE`, :data:`LINE` and
+:data:`COLUMN` name its fields.  A value fixes its kind except for
+identifiers: no identifier spells a keyword or a punctuation mark, and
+only EOF has the empty value, so the parser tests keywords and
+punctuation by value alone.
+"""
 
 # Token kinds
 IDENT = "IDENT"
 KEYWORD = "KEYWORD"
 PUNCT = "PUNCT"
 EOF = "EOF"
+
+# Token fields
+KIND, VALUE, LINE, COLUMN = range(4)
 
 KEYWORDS = frozenset(
     {
@@ -40,24 +51,3 @@ PUNCTUATION = (
     "@",
     "*",
 )
-
-
-class Token:
-    """One lexical token with its 1-based source position."""
-
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def is_kw(self, word):
-        return self.kind == KEYWORD and self.value == word
-
-    def is_punct(self, text):
-        return self.kind == PUNCT and self.value == text
-
-    def __repr__(self):
-        return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.column)

@@ -16,7 +16,8 @@ Endpoints (see ``docs/api.md`` for the full wire reference and
   scan through the :class:`~repro.server.pool.SessionPool`: the first
   request for a program is a cold scan, repeats with the same digest
   are served from the pooled snapshot without rebuilding analysis
-  state.
+  state, and a repeat of the same source bytes also skips the
+  frontend (:meth:`~repro.server.pool.SessionPool.program_for`).
 * ``POST /diff`` — body ``{"before": <source>, "after": <source>,
   "deadline_ms"?, "javalib"?}``; the finding-level
   :class:`~repro.core.incremental.diffing.LeakDelta` of two programs.
@@ -63,12 +64,13 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.cache.digest import program_digest
+# The pool digests programs now; the name stays importable here
+# because the traced benchmark (perfbench/spans.py) wraps it.
+from repro.core.cache.digest import program_digest  # noqa: F401
 from repro.core.incremental.diffing import diff_analyses
 from repro.core.regions import region_text, resolve_region
 from repro.errors import ReproError
 from repro.javalib import JAVALIB_SOURCE
-from repro.lang import parse_program
 from repro.pta.queries import Deadline
 from repro.server import schema
 from repro.server.limits import AdmissionControl, QueueFull
@@ -454,7 +456,7 @@ class AnalysisServer:
     def _analyze_endpoint(self, version, payload):
         if payload is None:
             raise BadRequest("request body required")
-        program = _parse_program(payload)
+        program, digest = self.pool.program_for(_program_source(payload))
         specs = _parse_regions(program, payload.get("region"))
         deadline_ms = self.effective_deadline_ms(
             _optional_int(payload, "deadline_ms")
@@ -462,7 +464,7 @@ class AnalysisServer:
         deadline = Deadline.after_ms(deadline_ms)
         with self.admission.slot():
             result, info = self.pool.analyze(
-                program, specs=specs, deadline=deadline
+                program, specs=specs, deadline=deadline, program_dig=digest
             )
         degraded = bool(deadline is not None and deadline.was_exceeded)
         self._record_analysis(result, info, degraded)
@@ -477,17 +479,23 @@ class AnalysisServer:
     def _diff_endpoint(self, version, payload):
         if payload is None:
             raise BadRequest("request body required")
-        before = _parse_program(payload, key="before")
-        after = _parse_program(payload, key="after")
+        before, before_dig = self.pool.program_for(
+            _program_source(payload, key="before")
+        )
+        after, after_dig = self.pool.program_for(
+            _program_source(payload, key="after")
+        )
         deadline_ms = self.effective_deadline_ms(
             _optional_int(payload, "deadline_ms")
         )
         with self.admission.slot():
             before_result, before_info = self.pool.analyze(
-                before, deadline=Deadline.after_ms(deadline_ms)
+                before, deadline=Deadline.after_ms(deadline_ms),
+                program_dig=before_dig,
             )
             after_result, after_info = self.pool.analyze(
-                after, deadline=Deadline.after_ms(deadline_ms)
+                after, deadline=Deadline.after_ms(deadline_ms),
+                program_dig=after_dig,
             )
         for result, info in (
             (before_result, before_info),
@@ -646,7 +654,7 @@ class AnalysisServer:
         for position, entry in enumerate(entries):
             program_id = entry.get("id") or ("program-%d" % position)
             try:
-                program = _parse_program(entry)
+                program, digest = self.pool.program_for(_program_source(entry))
                 specs = _parse_regions(program, entry.get("region"))
             except (BadRequest, ReproError) as exc:
                 status = 400 if isinstance(exc, BadRequest) else 422
@@ -663,7 +671,6 @@ class AnalysisServer:
                     }
                 )
                 continue
-            digest = program_digest(program)
             for record in self._batch_program_records(
                 program_id, program, digest, specs, deadline_ms, include_reports
             ):
@@ -710,6 +717,7 @@ class AnalysisServer:
                 specs=specs,
                 deadline_ms=deadline_ms,
                 shared_snapshot=self.pool.shared_snapshot_for(digest),
+                program_dig=digest,
             )
             for outcome in outcomes:
                 if outcome.kind == "ok":
@@ -734,7 +742,7 @@ class AnalysisServer:
         deadline = Deadline.after_ms(deadline_ms)
         try:
             result, info = self.pool.analyze(
-                program, specs=specs, deadline=deadline
+                program, specs=specs, deadline=deadline, program_dig=digest
             )
         except ReproError as exc:
             self.metrics.count("analysis_errors")
@@ -830,13 +838,15 @@ def _decode_json(raw):
     return payload
 
 
-def _parse_program(payload, key="program"):
+def _program_source(payload, key="program"):
+    """The effective source text of ``payload[key]``; the pool parses
+    it (``ReproError`` -> 422)."""
     source = payload.get(key)
     if not isinstance(source, str) or not source.strip():
         raise BadRequest('"%s" must be a non-empty source string' % key)
     if payload.get("javalib"):
         source = JAVALIB_SOURCE + "\n" + source
-    return parse_program(source)  # ReproError -> 422
+    return source
 
 
 def _parse_regions(program, region):

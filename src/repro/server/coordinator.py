@@ -152,14 +152,16 @@ class Coordinator:
 
     # -- program hand-off ----------------------------------------------------
 
-    def ensure_program(self, program, shared_snapshot=None):
+    def ensure_program(self, program, shared_snapshot=None, program_dig=None):
         """A fleet-ready handle for ``program``, built at most once.
 
         ``shared_snapshot`` lets the caller donate an already-built
         substrate snapshot (the session pool stores one per warm
-        digest), skipping the coordinator's own warm scan.
+        digest), skipping the coordinator's own warm scan;
+        ``program_dig`` is the program's digest when the caller already
+        has it.
         """
-        digest = program_digest(program)
+        digest = program_dig or program_digest(program)
         handle = self._handle_for(digest)
         with handle.lock:
             if handle.ready:
@@ -202,13 +204,16 @@ class Coordinator:
     # -- fan-out / fan-in ----------------------------------------------------
 
     def scan_iter(
-        self, program, specs=None, deadline_ms=None, shared_snapshot=None
+        self, program, specs=None, deadline_ms=None, shared_snapshot=None,
+        program_dig=None,
     ):
         """Fan a region scan out; yield :class:`RegionOutcome` as
         workers finish (shard-completion order, index order inside a
         shard).  ``specs=None`` scans every labelled loop, matching
         :func:`~repro.core.scan.scan_all_loops`."""
-        handle = self.ensure_program(program, shared_snapshot=shared_snapshot)
+        handle = self.ensure_program(
+            program, shared_snapshot=shared_snapshot, program_dig=program_dig
+        )
         if specs is None:
             specs = candidate_loops(program)
         specs = list(specs)

@@ -26,10 +26,22 @@ Policy decisions, deliberately boring:
   cold scans of the same program would just waste CPU); distinct
   digests proceed in parallel under the admission layer's ``jobs`` cap.
 
+The pool also memoizes the frontend: :meth:`SessionPool.program_for`
+maps the sha256 of a request's source text to the parsed, validated
+program and its digest, LRU-bounded by the same ``max_sessions``.
+Byte-identical source therefore skips lexing, parsing, validation and
+printing the program for its digest; source that differs only in
+formatting parses once and then meets the warm entry through the
+program digest.  Only successful parses are memoized, so malformed
+source fails the same way on every request.  Memoized programs are
+shared by every request that sends the same bytes; nothing downstream
+mutates a program.
+
 An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
 persists program-level artifacts across daemon restarts.
 """
 
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -39,6 +51,7 @@ from repro.core.incremental.engine import changed_scan
 from repro.core.incremental.snapshot import snapshot_scan
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.scan import scan_all_loops
+from repro.lang import parse_program
 
 
 class PoolEntry:
@@ -79,20 +92,52 @@ class SessionPool:
         self.max_sessions = max_sessions
         self._lock = threading.Lock()
         self._entries = OrderedDict()
+        #: source sha256 -> (program, program digest), LRU order.
+        self._programs = OrderedDict()
         self.evicted = 0
+        self.source_hits = 0
+        self.source_misses = 0
         #: points-to kernel statistics of the most recent cold solve,
         #: surfaced as ``kernel_*`` gauges by ``/metrics``.
         self.kernel_stats = {}
 
-    def analyze(self, program, specs=None, deadline=None):
+    def program_for(self, source):
+        """``(program, program digest)`` for while-language ``source``.
+
+        ``source`` is the effective text (the ``javalib`` prefix already
+        applied).  A repeat of the same bytes returns the memoized
+        program without running the frontend; a new text is parsed and
+        validated (:func:`~repro.lang.parse_program`, whose
+        ``ParseError``/``IRError`` propagate uncached) and memoized.
+        """
+        key = hashlib.sha256(source.encode("utf-8", "surrogatepass")).digest()
+        with self._lock:
+            memo = self._programs.get(key)
+            if memo is not None:
+                self._programs.move_to_end(key)
+                self.source_hits += 1
+                return memo
+            self.source_misses += 1
+        program = parse_program(source)
+        memo = (program, program_digest(program))
+        with self._lock:
+            self._programs[key] = memo
+            while len(self._programs) > self.max_sessions:
+                self._programs.popitem(last=False)
+        return memo
+
+    def analyze(self, program, specs=None, deadline=None, program_dig=None):
         """Scan ``program``, warm when its digest has been seen before.
+
+        ``program_dig`` is the program's digest when the caller already
+        has it (:meth:`program_for` returns one).
 
         Returns ``(ScanResult, info)`` where ``info`` is a plain dict:
         ``{"program_digest", "warm", "counters"}`` — ``counters`` being
         the :class:`~repro.core.incremental.engine.IncrementalOutcome`
         counters on the warm path, empty on the cold path.
         """
-        digest = program_digest(program)
+        digest = program_dig or program_digest(program)
         entry = self._entry_for(digest)
         with entry.lock:
             if entry.snapshot is not None:
@@ -111,6 +156,7 @@ class SessionPool:
                     cache=self.cache,
                     deadline=deadline,
                     shared_snapshot=entry.shared_snapshot,
+                    program_dig=digest,
                 )
                 entry.hits += 1
                 return result, {
@@ -124,9 +170,12 @@ class SessionPool:
             )
             if specs is None:
                 entry.snapshot = snapshot_scan(
-                    program, self.config, result, session=session
+                    program, self.config, result, session=session,
+                    program_dig=digest,
                 )
-                entry.shared_snapshot = snapshot_shared(session.shared)
+                entry.shared_snapshot = snapshot_shared(
+                    session.shared, program_dig=digest
+                )
             stats = session.points_to.kernel_stats()
             if stats:
                 self.kernel_stats = stats
@@ -180,6 +229,8 @@ class SessionPool:
             "pool_hits": sum(e.hits for e in entries),
             "pool_misses": sum(e.misses for e in entries),
             "pool_evicted": self.evicted,
+            "pool_source_hits": self.source_hits,
+            "pool_source_misses": self.source_misses,
             # 1 when the summary path (escape pre-filter + scoped
             # solves) serves region checks, 0 when REPRO_PTA_SUMMARIES
             # forces the whole-program path.

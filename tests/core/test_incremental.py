@@ -169,6 +169,25 @@ class TestFlowGraph:
             )
 
 
+class TestSnapshotDigest:
+    def test_snapshot_takes_a_known_digest(self, monkeypatch):
+        from repro.core.cache.digest import program_digest
+        from repro.core.incremental import snapshot as snapshot_module
+
+        program = parse_program(TWO_WORKER_SOURCE)
+        session = AnalysisSession(program)
+        result = scan_all_loops(program, session=session)
+        digest = program_digest(program)
+        monkeypatch.setattr(
+            snapshot_module, "program_digest", pytest.fail
+        )
+        payload = snapshot_scan(
+            program, session.config, result, session=session,
+            program_dig=digest,
+        )
+        assert payload["program_digest"] == digest
+
+
 class TestSnapshotIO:
     def test_save_load_round_trip(self, tmp_path):
         _program, _result, payload = _snapshot(TWO_WORKER_SOURCE)
@@ -203,6 +222,56 @@ class TestChangedScan:
         assert not outcome.rechecked
         assert sorted(outcome.served) == ["AWorker.runA:LA", "BWorker.runB:LB"]
         assert result.to_json(canonical=True) == cold.to_json(canonical=True)
+
+    def test_known_identical_digest_skips_change_detection(self, monkeypatch):
+        """A caller-supplied digest equal to the snapshot's proves the
+        program unchanged: no method digests, no structure digest, no
+        flow-graph decode and no closure."""
+        from repro.core.cache.digest import program_digest
+        from repro.core.incremental import engine
+
+        program, cold, payload = _snapshot(TWO_WORKER_SOURCE)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("change detection ran on an identical program")
+
+        for name in ("method_digests", "structure_digest", "_tainted_over"):
+            monkeypatch.setattr(engine, name, forbidden)
+        monkeypatch.setattr(engine.FlowGraph, "from_plain", forbidden)
+        result, outcome = changed_scan(
+            parse_program(TWO_WORKER_SOURCE),
+            payload,
+            program_dig=program_digest(program),
+        )
+        assert outcome.fast_path and not outcome.full_fallback
+        assert outcome.dirty_methods == set()
+        assert sorted(outcome.served) == ["AWorker.runA:LA", "BWorker.runB:LB"]
+        assert result.to_json(canonical=True) == cold.to_json(canonical=True)
+
+    def test_known_different_digest_still_detects_the_edit(self):
+        from repro.core.cache.digest import program_digest
+
+        _program, _cold, payload = _snapshot(TWO_WORKER_SOURCE)
+        edited = _edited(LOCAL_EDIT)
+        result, outcome = changed_scan(
+            edited, payload, program_dig=program_digest(edited)
+        )
+        assert outcome.dirty_methods == {"AWorker.runA"}
+        assert outcome.rechecked == ["AWorker.runA:LA"]
+        cold = scan_all_loops(edited)
+        assert result.to_json(canonical=True) == cold.to_json(canonical=True)
+
+    def test_known_digest_does_not_bypass_a_config_change(self):
+        from repro.core.cache.digest import program_digest
+
+        program, _cold, payload = _snapshot(TWO_WORKER_SOURCE)
+        _result, outcome = changed_scan(
+            program,
+            payload,
+            config=DetectorConfig(strong_updates=True),
+            program_dig=program_digest(program),
+        )
+        assert outcome.full_fallback
 
     def test_local_edit_rechecks_only_touched_region(self):
         _program, _cold, payload = _snapshot(TWO_WORKER_SOURCE)

@@ -89,6 +89,82 @@ class TestValidation:
         assert any("entry method" in i for i in issues)
 
 
+class TestInheritanceCycles:
+    def test_two_class_cycle_names_both_classes(self):
+        issues = _issues(
+            "class A extends B { } class B extends A { }"
+        )
+        assert issues == ["cyclic inheritance: A extends B extends A"]
+
+    def test_self_extension_is_a_cycle(self):
+        assert _issues("class A extends A { }") == [
+            "cyclic inheritance: A extends A"
+        ]
+
+    def test_every_cycle_reported_once(self):
+        issues = _issues(
+            "class Tail extends C { } class C extends D { } "
+            "class D extends C { } class E extends E { } "
+            "class F extends Tail { } class G { }"
+        )
+        assert issues == [
+            "cyclic inheritance: C extends D extends C",
+            "cyclic inheritance: E extends E",
+        ]
+
+    def test_acyclic_chain_is_clean(self):
+        assert _issues(
+            "class A extends B { } class B extends C { } class C { }"
+        ) == []
+
+    def test_parse_program_rejects_a_cycle(self):
+        from repro.lang import parse_program
+
+        with pytest.raises(IRError) as excinfo:
+            parse_program(
+                "entry Main.main;\n"
+                "class Main { static method main() { a = new A @a; "
+                "call a.m() @c; } }\n"
+                "class A extends B { method m() { return; } }\n"
+                "class B extends A { }"
+            )
+        assert "cyclic inheritance: A extends B extends A" in str(excinfo.value)
+
+
+class TestSingleWalk:
+    def test_issues_keep_their_order_across_kinds(self):
+        issues = _issues(
+            "class A extends Ghost { field f; "
+            "method m(p) { x = new Nope; y = z; call A.s(); call p.g(); "
+            "loop L { } loop L { } } "
+            "method s() { return; } method g(a) { return; } }"
+        )
+        assert issues == [
+            "class A extends unknown class Ghost",
+            "A.m: source 'z' used but never defined (stmt <CopyStmt uid=2 y = z>)",
+            "A.m: allocation of unknown class Nope",
+            "A.m: static call to instance method A.s",
+            "A.m: call to A.g passes 0 args, expected 1",
+            "A.m: duplicate loop label 'L'",
+        ]
+
+    def test_return_makes_the_rest_unreachable(self):
+        # After a return, uses need an assignment somewhere only.
+        assert _issues(
+            "class A { method m() { return; y = x; x = null; } }"
+        ) == []
+        assert any(
+            "'w' used but never defined" in issue
+            for issue in _issues("class A { method m() { return; y = w; } }")
+        )
+
+    def test_return_in_one_arm_leaves_the_other_arm_live(self):
+        assert _issues(
+            "class A { method m(p) { if (*) { return; } else { x = p; } "
+            "y = x; } }"
+        ) == []
+
+
 class TestDefiniteAssignment:
     def test_one_arm_definition_flagged_after_join(self):
         issues = _issues(

@@ -4,18 +4,18 @@ import pytest
 
 from repro.errors import ParseError
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import EOF, IDENT, KEYWORD, PUNCT
+from repro.lang.tokens import EOF, IDENT, KEYWORD, KIND, LINE, PUNCT, VALUE
 
 
 def _kinds(source):
-    return [(t.kind, t.value) for t in tokenize(source)]
+    return [(t[KIND], t[VALUE]) for t in tokenize(source)]
 
 
 class TestTokenize:
     def test_empty_source(self):
         tokens = tokenize("")
         assert len(tokens) == 1
-        assert tokens[0].kind == EOF
+        assert tokens[0][KIND] == EOF
 
     def test_keywords_recognized(self):
         kinds = _kinds("class method loop while if else new null")
@@ -23,33 +23,33 @@ class TestTokenize:
 
     def test_identifiers(self):
         tokens = tokenize("foo bar_baz $tmp")
-        assert [t.value for t in tokens[:-1]] == ["foo", "bar_baz", "$tmp"]
-        assert all(t.kind == IDENT for t in tokens[:-1])
+        assert [t[VALUE] for t in tokens[:-1]] == ["foo", "bar_baz", "$tmp"]
+        assert all(t[KIND] == IDENT for t in tokens[:-1])
 
     def test_generated_labels_lex_as_one_token(self):
         # Labels like Main:main/Order survive print/parse round trips.
         tokens = tokenize("Main:main/Order_2")
-        assert tokens[0].value == "Main:main/Order_2"
-        assert tokens[0].kind == IDENT
+        assert tokens[0][VALUE] == "Main:main/Order_2"
+        assert tokens[0][KIND] == IDENT
 
     def test_array_marker_single_token(self):
         tokens = tokenize("new C[]")
-        values = [t.value for t in tokens[:-1]]
+        values = [t[VALUE] for t in tokens[:-1]]
         assert "[]" in values
 
     def test_punctuation(self):
-        values = [t.value for t in tokenize("{ } ( ) ; , = . @ *")[:-1]]
+        values = [t[VALUE] for t in tokenize("{ } ( ) ; , = . @ *")[:-1]]
         assert values == ["{", "}", "(", ")", ";", ",", "=", ".", "@", "*"]
-        assert all(t.kind == PUNCT for t in tokenize("{ } ;")[:-1])
+        assert all(t[KIND] == PUNCT for t in tokenize("{ } ;")[:-1])
 
     def test_comments_skipped(self):
         tokens = tokenize("x // a comment with = and ;\ny")
-        assert [t.value for t in tokens[:-1]] == ["x", "y"]
+        assert [t[VALUE] for t in tokens[:-1]] == ["x", "y"]
 
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
-        assert (tokens[0].line, tokens[0].column) == (1, 1)
-        assert (tokens[1].line, tokens[1].column) == (2, 3)
+        assert tokens[0][LINE:] == (1, 1)
+        assert tokens[1][LINE:] == (2, 3)
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as exc:
@@ -57,5 +57,5 @@ class TestTokenize:
         assert exc.value.line == 1
 
     def test_dotted_name_splits(self):
-        values = [t.value for t in tokenize("a.b")[:-1]]
+        values = [t[VALUE] for t in tokenize("a.b")[:-1]]
         assert values == ["a", ".", "b"]

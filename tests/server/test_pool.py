@@ -132,5 +132,7 @@ class TestConfig:
             "pool_hits": 0,
             "pool_misses": 0,
             "pool_evicted": 0,
+            "pool_source_hits": 0,
+            "pool_source_misses": 0,
             "summaries_enabled": 1,
         }
