@@ -12,14 +12,16 @@ does not excuse a use after the join.
 
 ``validate_program`` walks each method body once.  That walk gathers
 the allocation, call, arity and loop-label issues in statement order
-and runs the definite-assignment analysis on the structured body (an
-``if`` joins by intersection, a loop leaves the set it entered with, a
-``return`` makes the rest of its block unreachable), which yields the
-same assigned sets as the must-analysis over the per-method CFG
-(:mod:`repro.cfg.graph`).  Only a method the walk finds a def/use
-issue in is re-checked over its CFG, which words and orders the
-issues.  Virtual-call arity targets come from a method-name index
-built once per program.
+and runs the definite-assignment analysis on the structured body: an
+``if`` joins by intersection, a loop leaves the set it entered with
+(its body may run zero times), and a ``return`` makes the rest of its
+block unreachable.  Unreachable statements keep a flow-insensitive
+check: a variable merely has to be assigned *somewhere* in the method.
+A method's def/use issues are listed in the order of its CFG
+(:mod:`repro.cfg.graph`): reachable blocks in reverse post-order, each
+block's statements before the condition it ends with, then the
+unreachable blocks.  Virtual-call arity targets come from a
+method-name index built once per program.
 """
 
 from repro.errors import IRError, ResolutionError
@@ -40,137 +42,32 @@ from repro.ir.stmts import (
 )
 
 
-def _stmt_def(stmt):
-    """The variable ``stmt`` assigns, or ``None``."""
-    if isinstance(stmt, (NewStmt, CopyStmt, NullStmt, LoadStmt)):
-        return stmt.target
-    if isinstance(stmt, InvokeStmt) and stmt.target:
-        return stmt.target
-    return None
-
-
-def _stmt_uses(stmt):
-    """Yield ``(var, role)`` for every variable ``stmt`` reads."""
-    if isinstance(stmt, CopyStmt):
-        yield stmt.source, "source"
-    elif isinstance(stmt, LoadStmt):
-        yield stmt.base, "base"
-    elif isinstance(stmt, StoreStmt):
-        yield stmt.base, "base"
-        yield stmt.source, "source"
-    elif isinstance(stmt, StoreNullStmt):
-        yield stmt.base, "base"
-    elif isinstance(stmt, InvokeStmt):
-        for arg in stmt.args:
-            yield arg, "argument"
-        if not stmt.is_static:
-            yield stmt.base, "receiver"
-    elif isinstance(stmt, ReturnStmt):
-        if stmt.value:
-            yield stmt.value, "return value"
-    elif isinstance(stmt, (IfStmt, LoopStmt)):
-        if stmt.cond.kind != Cond.NONDET:
-            yield stmt.cond.var, "condition variable"
-
-
-def _definite_assignment_issues(method, initial, all_defs):
-    """Definite-assignment (must-reach) def/use check over the CFG.
-
-    A use is clean only when every path from the method entry assigns
-    the variable first: IN[b] is the *intersection* of the predecessors'
-    OUT sets, so an assignment on one arm of a branch, or inside a
-    (possibly zero-trip) loop body, does not count after the join.
-    Branch/loop conditions are checked at the block whose terminator
-    evaluates them.  Statements in unreachable blocks (e.g. after a
-    ``return``) keep the flow-insensitive check: a variable merely has
-    to be assigned *somewhere* in the method.
-    """
+def _cfg_positions(method):
+    """Position of each statement of ``method`` in its CFG's order:
+    reachable blocks in reverse post-order, then unreachable blocks, each
+    block's statements followed by its terminator (keyed by ``id``)."""
     from repro.cfg.graph import build_cfg
 
-    issues = []
     cfg = build_cfg(method)
-    reachable = cfg.reachable_blocks()  # reverse post-order
+    reachable = cfg.reachable_blocks()
     reachable_ids = {block.index for block in reachable}
-    block_defs = {}
-    for block in cfg.blocks:
-        defs = set()
+    positions = {}
+    for block in reachable + [
+        block for block in cfg.blocks if block.index not in reachable_ids
+    ]:
         for stmt in block.stmts:
-            target = _stmt_def(stmt)
-            if target:
-                defs.add(target)
-        block_defs[block.index] = defs
-
-    # Must-analysis fixpoint: OUT starts at the universe (top) so loop
-    # back-edges do not spuriously kill the entry path's assignments on
-    # the first visit; iteration only shrinks the sets.
-    universe = set(all_defs) | set(initial)
-    out_sets = {block.index: set(universe) for block in reachable}
-
-    def in_set(block):
-        if block is cfg.entry:
-            return set(initial)
-        preds = [p for p in block.preds if p.index in reachable_ids]
-        live = set(out_sets[preds[0].index])
-        for pred in preds[1:]:
-            live &= out_sets[pred.index]
-        return live
-
-    changed = True
-    while changed:
-        changed = False
-        for block in reachable:
-            new_out = in_set(block) | block_defs[block.index]
-            if new_out != out_sets[block.index]:
-                out_sets[block.index] = new_out
-                changed = True
-
-    def check_block(block, live):
-        for stmt in block.stmts:
-            for var, role in _stmt_uses(stmt):
-                if var not in all_defs:
-                    issues.append(
-                        "%s: %s %r used but never defined (stmt %r)"
-                        % (method.sig, role, var, stmt)
-                    )
-                elif live is not None and var not in live:
-                    issues.append(
-                        "%s: %s %r may be unassigned on some path (stmt %r)"
-                        % (method.sig, role, var, stmt)
-                    )
-            target = _stmt_def(stmt)
-            if target and live is not None:
-                live.add(target)
-        # The branch/loop condition is evaluated after the block's
-        # straight-line statements, when control leaves the block.
+            positions[id(stmt)] = len(positions)
         if block.terminator is not None:
-            for var, role in _stmt_uses(block.terminator):
-                if var not in all_defs:
-                    issues.append(
-                        "%s: %s %r used but never defined (stmt %r)"
-                        % (method.sig, role, var, block.terminator)
-                    )
-                elif live is not None and var not in live:
-                    issues.append(
-                        "%s: %s %r may be unassigned on some path (stmt %r)"
-                        % (method.sig, role, var, block.terminator)
-                    )
-
-    for block in reachable:
-        check_block(block, in_set(block))
-    for block in cfg.blocks:
-        if block.index not in reachable_ids:
-            check_block(block, None)
-    return issues
+            positions[id(block.terminator)] = len(positions)
+    return positions
 
 
 class _MethodWalk:
     """One pre-order walk over a method body (see the module docstring).
 
-    ``issues`` are the allocation, static-call and unsealed-statement
-    issues, ``arity`` and ``labels`` the method's share of the
-    program-wide arity and loop-label lists.  ``all_defs`` is every
-    variable the method assigns (parameters and ``this`` included);
-    ``flagged`` is set when some use is not definitely assigned.
+    ``issues`` are the def/use issues, then the allocation, static-call
+    and unsealed-statement issues; ``arity`` and ``labels`` are the
+    method's share of the program-wide arity and loop-label lists.
     """
 
     def __init__(self, program, method, targets_by_name, seen_labels):
@@ -182,25 +79,41 @@ class _MethodWalk:
         self.arity = []
         self.labels = []
         self.unsealed = None
-        self.flagged = False
-        self.unreachable_uses = []
-        self.initial = set(method.params)
+        #: ``(stmt, role, var, reachable)`` for every use of a variable
+        #: that is not definitely assigned (or is in unreachable code).
+        self.unassigned = []
+        initial = set(method.params)
         if not method.is_static:
-            self.initial.add(THIS_VAR)
-        self.all_defs = set(self.initial)
-        self._block(method.body, set(self.initial))
-        if not self.flagged:
-            all_defs = self.all_defs
-            self.flagged = any(
-                var not in all_defs for var in self.unreachable_uses
+            initial.add(THIS_VAR)
+        self.all_defs = set(initial)
+        self._block(method.body, set(initial))
+        self.issues[:0] = self._def_use_issues(method)
+        if self.unsealed is not None:
+            self.issues.append(
+                "%s: unsealed statement %r" % (self.sig, self.unsealed)
             )
 
-    def _use(self, var, live):
-        if live is None:
-            # Unreachable code only needs an assignment somewhere.
-            self.unreachable_uses.append(var)
-        elif var not in live:
-            self.flagged = True
+    def _def_use_issues(self, method):
+        """The def/use issues, in the order of the method's CFG."""
+        found = []
+        for stmt, role, var, reachable in self.unassigned:
+            if var not in self.all_defs:
+                problem = "used but never defined"
+            elif reachable:
+                problem = "may be unassigned on some path"
+            else:
+                # Unreachable code only needs an assignment somewhere.
+                continue
+            message = "%s: %s %r %s (stmt %r)" % (self.sig, role, var, problem, stmt)
+            found.append((stmt, message))
+        if len(found) > 1:
+            positions = _cfg_positions(method)
+            found.sort(key=lambda issue: positions[id(issue[0])])
+        return [message for _, message in found]
+
+    def _use(self, var, role, stmt, live):
+        if live is None or var not in live:
+            self.unassigned.append((stmt, role, var, live is not None))
 
     def _def(self, var, live):
         if var:
@@ -219,7 +132,7 @@ class _MethodWalk:
             if self.unsealed is None and stmt.uid is None:
                 self.unsealed = stmt
             if isinstance(stmt, CopyStmt):
-                use(stmt.source, live)
+                use(stmt.source, "source", stmt, live)
                 define(stmt.target, live)
             elif isinstance(stmt, NewStmt):
                 define(stmt.target, live)
@@ -230,28 +143,28 @@ class _MethodWalk:
                     )
             elif isinstance(stmt, InvokeStmt):
                 for arg in stmt.args:
-                    use(arg, live)
+                    use(arg, "argument", stmt, live)
                 if not stmt.is_static:
-                    use(stmt.base, live)
+                    use(stmt.base, "receiver", stmt, live)
                 define(stmt.target, live)
                 self._invoke(stmt)
             elif isinstance(stmt, LoadStmt):
-                use(stmt.base, live)
+                use(stmt.base, "base", stmt, live)
                 define(stmt.target, live)
             elif isinstance(stmt, StoreStmt):
-                use(stmt.base, live)
-                use(stmt.source, live)
+                use(stmt.base, "base", stmt, live)
+                use(stmt.source, "source", stmt, live)
             elif isinstance(stmt, StoreNullStmt):
-                use(stmt.base, live)
+                use(stmt.base, "base", stmt, live)
             elif isinstance(stmt, NullStmt):
                 define(stmt.target, live)
             elif isinstance(stmt, ReturnStmt):
                 if stmt.value:
-                    use(stmt.value, live)
+                    use(stmt.value, "return value", stmt, live)
                 live = None
             elif isinstance(stmt, IfStmt):
                 if stmt.cond.kind != Cond.NONDET:
-                    use(stmt.cond.var, live)
+                    use(stmt.cond.var, "condition variable", stmt, live)
                 then_live = self._block(
                     stmt.then_block, None if live is None else set(live)
                 )
@@ -270,7 +183,7 @@ class _MethodWalk:
                     )
                 self.seen_labels.add(key)
                 if stmt.cond.kind != Cond.NONDET:
-                    use(stmt.cond.var, live)
+                    use(stmt.cond.var, "condition variable", stmt, live)
                 # The body may run zero times: the loop leaves ``live``
                 # as it found it.
                 self._block(stmt.body, None if live is None else set(live))
@@ -349,17 +262,7 @@ def validate_program(program):
     labels = []
     for method in program.all_methods():
         walked = _MethodWalk(program, method, targets_by_name, seen_labels)
-        if walked.flagged:
-            issues.extend(
-                _definite_assignment_issues(
-                    method, walked.initial, walked.all_defs
-                )
-            )
         issues.extend(walked.issues)
-        if walked.unsealed is not None:
-            issues.append(
-                "%s: unsealed statement %r" % (method.sig, walked.unsealed)
-            )
         arity.extend(walked.arity)
         labels.extend(walked.labels)
     issues.extend(arity)

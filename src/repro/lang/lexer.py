@@ -16,8 +16,10 @@ from repro.lang.tokens import EOF, IDENT, KEYWORD, KEYWORDS, PUNCT, PUNCTUATION
 
 #: One match per token: its leading blanks, then exactly one of an
 #: identifier, a punctuation mark, the start of a comment or any other
-#: non-blank (unexpected) character.  Blanks at the end of a line match
-#: nothing.
+#: non-blank (unexpected) character.  The blanks group can match
+#: nothing, so a run of blanks with no token after it would be retried
+#: from each of its positions (quadratic in the run); ``tokenize``
+#: therefore matches only the line with its trailing blanks stripped.
 _TOKEN_RE = re.compile(
     r"([ \t\r]*)(?:([A-Za-z_$][A-Za-z0-9_$/:#-]*)|(%s)|(//)|([^ \t\r]))"
     % "|".join(re.escape(punct) for punct in PUNCTUATION)
@@ -36,7 +38,7 @@ def tokenize(source):
     for text in source.split("\n"):
         line += 1
         col = 1
-        for blanks, word, punct, comment, other in findall(text):
+        for blanks, word, punct, comment, other in findall(text.rstrip(" \t\r")):
             if blanks:
                 col += len(blanks)
             if word:

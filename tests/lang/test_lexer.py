@@ -1,10 +1,14 @@
 """Tests for the while-language lexer."""
 
+import time
+
 import pytest
 
 from repro.errors import ParseError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import EOF, IDENT, KEYWORD, KIND, LINE, PUNCT, VALUE
+
+from tests.lang import reference_frontend as ref
 
 
 def _kinds(source):
@@ -59,3 +63,31 @@ class TestTokenize:
     def test_dotted_name_splits(self):
         values = [t[VALUE] for t in tokenize("a.b")[:-1]]
         assert values == ["a", ".", "b"]
+
+
+class TestLongBlankRuns:
+    """A run of blanks with no token after it on its line costs linear
+    time.  Matching the token regex over the unstripped line retried
+    such a run from each of its positions: 10k trailing blanks took
+    about 5 s and 20k about 23 s, enough for one request to stall a
+    server.  The 10k line comes first so a quadratic lexer fails in
+    seconds rather than hanging on the 200k one."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("class A { }%s", id="trailing-blanks"),
+            pytest.param("class A { } // note%s", id="comment-then-blanks"),
+            pytest.param("class A { %s}", id="blanks-before-a-token"),
+        ],
+    )
+    def test_linear_in_blank_run(self, line):
+        for count in (10000, 200000):
+            source = line % (" \t" * (count // 2)) + "\nclass B { }   "
+            start = time.perf_counter()
+            tokens = tokenize(source)
+            assert time.perf_counter() - start < 1.0
+            assert tokens == [
+                (tok.kind, tok.value, tok.line, tok.column)
+                for tok in ref.tokenize(source)
+            ]

@@ -29,11 +29,7 @@ from repro.bench.apps import build_app, corpus_names
 from repro.bench.scale import build_scaled
 from repro.errors import IRError, ParseError
 from repro.ir.printer import program_to_text
-from repro.ir.validate import (
-    _definite_assignment_issues,
-    _MethodWalk,
-    validate_program,
-)
+from repro.ir.validate import validate_program
 from repro.lang.lexer import tokenize
 from repro.lang.lowering import lower
 from repro.lang.parser import parse
@@ -197,15 +193,17 @@ _DA_VARS = ("a", "b", "c", "p")
 
 
 @st.composite
-def _def_use_programs(draw):
+def _def_use_programs(draw, stray=5):
     """Methods mixing definitions and uses under branches, loops and
-    returns.  Uses mostly read a variable assigned on every path so
-    far, sometimes any variable, so most methods hold at most one
-    def/use issue: the definite-assignment check's inputs."""
+    returns: the definite-assignment check's inputs.  One use in
+    ``stray + 1`` reads any variable, the others a variable assigned on
+    every path so far; with the default most methods hold at most one
+    def/use issue, with ``stray=1`` many hold several, whose order is
+    then checked too."""
     labels = iter(range(1000))
 
     def use(assigned):
-        if assigned and draw(st.integers(0, 5)):
+        if assigned and draw(st.integers(0, stray)):
             return draw(st.sampled_from(sorted(assigned)))
         return draw(st.sampled_from(_DA_VARS))
 
@@ -264,15 +262,12 @@ def _def_use_programs(draw):
 @given(_def_use_programs())
 def test_def_use_programs(source):
     _assert_same(source)
-    # The walk flags a method exactly when the CFG analysis finds a
-    # def/use issue in it (else the issue list could still match by
-    # luck: any flagged use sends the method to the CFG analysis).
-    program = lower(parse(source))
-    method = program.method("C.m")
-    walked = _MethodWalk(program, method, {"m": [method]}, set())
-    assert walked.flagged == bool(
-        _definite_assignment_issues(method, walked.initial, walked.all_defs)
-    )
+
+
+@_SETTINGS
+@given(_def_use_programs(stray=1))
+def test_def_use_issue_order(source):
+    _assert_same(source)
 
 
 @pytest.mark.parametrize(
@@ -291,6 +286,13 @@ def test_def_use_programs(source):
         "class A { method m() { if (nonnull) { } } }",
         "class A { method m() { loop { } } }",
         "class A { method m() { while (*) x = null; } }",
+        # Def/use issues in CFG order: the else arm before the then arm,
+        # the code after a loop before its body, a returning arm after
+        # the join, then unreachable code.
+        "class A { method m() { if (*) { a.f = b; } else { c.f = d; } } }",
+        "class A { method m() { loop L (*) { a.f = b; } c.f = d; } }",
+        "class A { method m() { if (null e) { a.f = b; return; } c.f = d; } }",
+        "class A { method m() { return; a.f = b; a = null; c.f = d; } }",
         "class A { method m( { } }",
         "a//b",
         "class A { method m() { x = call y.f(a,); } }",
